@@ -10,8 +10,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod heartbeat;
-pub mod rss;
 pub mod table;
 
 /// How big to run an experiment.

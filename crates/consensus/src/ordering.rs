@@ -14,6 +14,7 @@ use dcs_crypto::Address;
 use dcs_net::{Ctx, NodeId, Protocol};
 use dcs_primitives::{Block, ChainConfig, ConsensusKind, Seal};
 use dcs_sim::SimDuration;
+use std::sync::Arc;
 
 /// A peer in an ordering-service network. All peers gossip transactions;
 /// whichever peer currently holds the orderer role cuts batches.
@@ -91,10 +92,41 @@ impl<M: StateMachine> OrderingNode<M> {
                 votes: 1,
             };
             let block = self.core.build_block(seal, ctx.now);
-            self.core.handle_block(block, None, ctx);
+            self.core.handle_block(Arc::clone(&block), None, ctx);
+            if self.core.chain.height() < height {
+                // Our own import refused the block (e.g. a witness the
+                // machine rejects). Evict the offending transaction so the
+                // next cut differs, and do not retry now: the identical
+                // batch would fail again, forever.
+                self.evict_failing_tx(&block);
+                return;
+            }
             // Immediately try again: a backlog larger than one batch should
             // drain at full rate rather than one batch per timeout.
             self.try_cut_batch(ctx, false);
+        }
+    }
+
+    /// Drops from the mempool the first transaction of `block` that the
+    /// machine refuses on top of the current tip. Applying a body prefix
+    /// fails exactly when the prefix contains that transaction, so a binary
+    /// search over prefix lengths (each applied and reverted) finds it.
+    fn evict_failing_tx(&mut self, block: &Block) {
+        let machine = self.core.chain.machine_mut();
+        let mut prefix_applies = |len: usize| {
+            let prefix = Block::new(block.header.clone(), block.txs[..len].to_vec());
+            match machine.apply_block(&prefix) {
+                Ok((_, undo)) => {
+                    machine.revert_block(undo);
+                    true
+                }
+                Err(_) => false,
+            }
+        };
+        let lens: Vec<usize> = (1..=block.txs.len()).collect();
+        let failing = lens.partition_point(|&len| prefix_applies(len));
+        if let Some(id) = block.tx_ids().get(failing) {
+            self.core.mempool.remove(id);
         }
     }
 

@@ -61,7 +61,7 @@ pub use builders::{
     OrderingParams, PbftParams, PoetParams, PosParams, PowParams,
 };
 pub use faults::install_faults;
-pub use metrics::{collect, SimResult, VerificationReport};
+pub use metrics::{collect, SimResult};
 pub use profile::Profile;
 pub use scale::{run_channel_workload, ChannelRunReport, ChannelWorkloadParams};
 pub use serve::{

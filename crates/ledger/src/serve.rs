@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex};
 
 /// Registers every peer's live metrics (chain, mempool, and any
 /// protocol-specific series) on `registry` — the metrics analogue of
-/// [`install_tracing`](crate::install_tracing). Purely a registration
+/// [`install_tracing`]. Purely a registration
 /// pass: no threads, no I/O, and the run stays bit-identical.
 pub fn install_metrics<P: LedgerNode>(runner: &mut Runner<P>, registry: &Registry) {
     for i in 0..runner.nodes().len() {

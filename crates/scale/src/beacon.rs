@@ -1,6 +1,6 @@
 //! Beacon-coordinated sharding over the simulated network (§5.4, \[38\]).
 //!
-//! [`ShardedLedger`](crate::ShardedLedger) models sharding as a sequential
+//! [`ShardedLedger`] models sharding as a sequential
 //! accounting exercise; this module runs it for real: `k` shard *sequencer*
 //! nodes seal blocks on timers, a *beacon* node tracks every shard
 //! header-chain and arbitrates cross-shard transfers, and a *light* node
