@@ -90,13 +90,18 @@ impl Sha256 {
     /// Consumes the context and returns the 32-byte digest.
     pub fn finalize(mut self) -> Hash256 {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
+        // Padding: 0x80, zeros, then 64-bit big-endian length. `buf_len` is
+        // always < 64 here; when fewer than 8 bytes follow the 0x80, the
+        // length spills into one extra all-zero block.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; 64];
         }
-        // Manual write of the length to avoid it counting toward total_len.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
         let mut out = [0u8; 32];
@@ -191,11 +196,11 @@ pub fn sha256_concat(a: &[u8], b: &[u8]) -> Hash256 {
 // `for` over `0..L` for the auto-vectorizer to see the element-wise shape.
 #[allow(clippy::needless_range_loop)]
 fn compress_wide<const L: usize>(states: &mut [[u32; L]; 8], blocks: &[[u8; 64]; L]) {
-    let mut w = [[0u32; L]; 64];
+    let mut words = [[0u32; L]; 16];
     for i in 0..16 {
         let o = 4 * i;
         for l in 0..L {
-            w[i][l] = u32::from_be_bytes([
+            words[i][l] = u32::from_be_bytes([
                 blocks[l][o],
                 blocks[l][o + 1],
                 blocks[l][o + 2],
@@ -203,6 +208,15 @@ fn compress_wide<const L: usize>(states: &mut [[u32; L]; 8], blocks: &[[u8; 64];
             ]);
         }
     }
+    compress_wide_words(states, &words);
+}
+
+/// [`compress_wide`] over blocks already read as big-endian message words,
+/// transposed like the state: `words[i][lane]`.
+#[allow(clippy::needless_range_loop)]
+fn compress_wide_words<const L: usize>(states: &mut [[u32; L]; 8], words: &[[u32; L]; 16]) {
+    let mut w = [[0u32; L]; 64];
+    w[..16].copy_from_slice(words);
     for i in 16..64 {
         for l in 0..L {
             let w15 = w[i - 15][l];
@@ -281,6 +295,15 @@ fn fill_block(msg: &[u8], block: usize, buf: &mut [u8; 64]) {
     }
 }
 
+/// The digest held in lane `l` of a transposed state.
+fn lane_digest<const L: usize>(states: &[[u32; L]; 8], l: usize) -> Hash256 {
+    let mut bytes = [0u8; 32];
+    for (w, word) in states.iter().enumerate() {
+        bytes[4 * w..4 * w + 4].copy_from_slice(&word[l].to_be_bytes());
+    }
+    Hash256::from_bytes(bytes)
+}
+
 /// Sentinel for an idle lane in the ragged scheduler.
 const IDLE: usize = usize::MAX;
 
@@ -323,13 +346,87 @@ fn hash_ragged<const L: usize>(msgs: &[&[u8]], out: &mut [Hash256]) {
             }
             lane_block[l] += 1;
             if lane_block[l] == padded_blocks(msgs[m].len()) {
-                let mut bytes = [0u8; 32];
-                for (w, word) in states.iter().enumerate() {
-                    bytes[4 * w..4 * w + 4].copy_from_slice(&word[l].to_be_bytes());
-                }
-                out[m] = Hash256::from_bytes(bytes);
+                out[m] = lane_digest(&states, l);
                 lane_msg[l] = IDLE;
                 active -= 1;
+            }
+        }
+    }
+}
+
+/// Bit length of one hash-chain message: a domain byte plus a digest.
+const CHAIN_MSG_BITS: u32 = 33 * 8;
+
+/// Advances every hash chain in `values` by `steps[i]` applications of
+/// `x → sha256(prefix ‖ x)`, eight chains per wide compression.
+///
+/// A chain message is 33 bytes, so each step is exactly one padded block,
+/// built directly as message words: `x` shifted right by the prefix byte,
+/// then `0x80`, zeros and the fixed length. Chain values stay in the
+/// transposed word form between steps and are read back only when a chain
+/// ends. A lane is refilled with the next pending chain as soon as its own
+/// ends; zero-step chains are never loaded and the longest chains go first,
+/// so ragged step mixes keep the lanes close to fully occupied. Every
+/// result is bit-identical to iterating the scalar [`Sha256`].
+// Lane loops stay plain counted `for`s over `0..L` so they auto-vectorize.
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn hash_chains(prefix: u8, values: &mut [Hash256], steps: &[u8]) {
+    const L: usize = 8;
+    assert_eq!(values.len(), steps.len(), "one step count per chain");
+    let mut order: Vec<usize> = (0..values.len()).filter(|&i| steps[i] > 0).collect();
+    order.sort_unstable_by_key(|&i| std::cmp::Reverse(steps[i]));
+    let mut pending = order.into_iter();
+    let mut lane_chain = [IDLE; L];
+    let mut lane_left = [0u8; L];
+    let mut x = [[0u32; L]; 8];
+    let mut msg = [[0u32; L]; 16];
+    msg[15] = [CHAIN_MSG_BITS; L];
+    let mut states = [[0u32; L]; 8];
+    loop {
+        let mut active = 0usize;
+        for l in 0..L {
+            if lane_chain[l] == IDLE {
+                if let Some(c) = pending.next() {
+                    lane_chain[l] = c;
+                    lane_left[l] = steps[c];
+                    for (word, bytes) in x.iter_mut().zip(values[c].as_bytes().chunks_exact(4)) {
+                        word[l] = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+                    }
+                }
+            }
+            if lane_chain[l] != IDLE {
+                active += 1;
+            }
+        }
+        if active == 0 {
+            break;
+        }
+        let head = u32::from(prefix) << 24;
+        for l in 0..L {
+            msg[0][l] = head | (x[0][l] >> 8);
+        }
+        for i in 1..8 {
+            for l in 0..L {
+                msg[i][l] = (x[i - 1][l] << 24) | (x[i][l] >> 8);
+            }
+        }
+        for l in 0..L {
+            msg[8][l] = (x[7][l] << 24) | 0x0080_0000;
+        }
+        for (word, h0) in states.iter_mut().zip(H0) {
+            *word = [h0; L];
+        }
+        compress_wide_words(&mut states, &msg);
+        x = states;
+        for l in 0..L {
+            let c = lane_chain[l];
+            if c == IDLE {
+                continue;
+            }
+            lane_left[l] -= 1;
+            if lane_left[l] == 0 {
+                values[c] = lane_digest(&x, l);
+                lane_chain[l] = IDLE;
             }
         }
     }

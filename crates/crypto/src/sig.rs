@@ -24,7 +24,7 @@
 
 use crate::codec::{Decode, DecodeError, Encode, Reader};
 use crate::hash::{Address, Hash256};
-use crate::sha256::Sha256;
+use crate::sha256::{hash_chains, MultiHasher, Sha256};
 use crate::CryptoError;
 use serde::{Deserialize, Serialize};
 
@@ -38,20 +38,34 @@ const LEN2: usize = 3;
 /// Total chains per one-time key.
 const LEN: usize = LEN1 + LEN2;
 
-fn prf(seed: &[u8; 32], tag: &[u8], a: u32, b: u32) -> Hash256 {
-    let mut ctx = Sha256::new();
-    ctx.update(seed);
-    ctx.update(tag);
-    ctx.update(&a.to_le_bytes());
-    ctx.update(&b.to_le_bytes());
-    ctx.finalize()
+/// Domain byte of the WOTS chain function, separating it from Merkle and
+/// leaf hashing.
+const CHAIN_PREFIX: u8 = 0x03;
+
+/// Expands the 67 secret chain starts of one-time key `ots_index`:
+/// `sha256(seed ‖ "wots" ‖ ots_index ‖ chain)`, eight lanes at a time.
+fn wots_secrets(seed: &[u8; 32], ots_index: u32) -> [Hash256; LEN] {
+    let msgs: [[u8; 44]; LEN] = std::array::from_fn(|i| {
+        let mut m = [0u8; 44];
+        m[..32].copy_from_slice(seed);
+        m[32..36].copy_from_slice(b"wots");
+        m[36..40].copy_from_slice(&ots_index.to_le_bytes());
+        m[40..].copy_from_slice(&(i as u32).to_le_bytes());
+        m
+    });
+    let refs: [&[u8]; LEN] = std::array::from_fn(|i| msgs[i].as_slice());
+    let mut out = [Hash256::ZERO; LEN];
+    MultiHasher::wide().hash_many_into(&refs, &mut out);
+    out
 }
 
-/// Applies the WOTS chain function `steps` times.
+/// Applies the WOTS chain function `steps` times, one scalar hash at a time;
+/// the reference that [`hash_chains`] is tested against.
+#[cfg(test)]
 fn chain(mut x: Hash256, steps: u32) -> Hash256 {
     for _ in 0..steps {
         let mut ctx = Sha256::new();
-        ctx.update(&[0x03]); // domain separation from merkle/leaf hashing
+        ctx.update(&[CHAIN_PREFIX]);
         ctx.update(x.as_ref());
         x = ctx.finalize();
     }
@@ -106,17 +120,16 @@ impl PublicKey {
     /// Returns `false` for any forgery: wrong message, reused-but-altered
     /// index, tampered chain values, or a bad authentication path.
     pub fn verify(&self, msg: &Hash256, sig: &Signature) -> bool {
-        if sig.auth_path.len() != self.height as usize {
+        if sig.chain_values.len() != LEN || sig.auth_path.len() != self.height as usize {
             return false;
         }
         if u64::from(sig.index) >= (1u64 << self.height) {
             return false;
         }
-        let d = digits(msg);
         let mut ends = [Hash256::ZERO; LEN];
-        for i in 0..LEN {
-            ends[i] = chain(sig.chain_values[i], W - 1 - u32::from(d[i]));
-        }
+        ends.copy_from_slice(&sig.chain_values);
+        let steps = digits(msg).map(|d| (W - 1) as u8 - d);
+        hash_chains(CHAIN_PREFIX, &mut ends, &steps);
         let mut acc = compress_ots_pk(&ends);
         let mut idx = sig.index;
         for sibling in &sig.auth_path {
@@ -165,11 +178,8 @@ impl KeyPair {
     }
 
     fn ots_leaf(seed: &[u8; 32], ots_index: u32) -> Hash256 {
-        let mut ends = [Hash256::ZERO; LEN];
-        for (i, end) in ends.iter_mut().enumerate() {
-            let sk = prf(seed, b"wots", ots_index, i as u32);
-            *end = chain(sk, W - 1);
-        }
+        let mut ends = wots_secrets(seed, ots_index);
+        hash_chains(CHAIN_PREFIX, &mut ends, &[(W - 1) as u8; LEN]);
         compress_ots_pk(&ends)
     }
 
@@ -223,12 +233,8 @@ impl KeyPair {
                 capacity: self.capacity(),
             });
         }
-        let d = digits(msg);
-        let mut chain_values = Vec::with_capacity(LEN);
-        for (i, &di) in d.iter().enumerate() {
-            let sk = prf(&self.seed, b"wots", index, i as u32);
-            chain_values.push(chain(sk, u32::from(di)));
-        }
+        let mut chain_values = wots_secrets(&self.seed, index);
+        hash_chains(CHAIN_PREFIX, &mut chain_values, &digits(msg));
         let proof = self
             .tree
             .prove(index as usize)
@@ -239,7 +245,7 @@ impl KeyPair {
         );
         Ok(Signature {
             index,
-            chain_values,
+            chain_values: chain_values.to_vec(),
             auth_path: proof.siblings().to_vec(),
         })
     }
@@ -381,6 +387,62 @@ mod tests {
         let mut sig = kp.sign(&msg).unwrap();
         sig.index = 1000;
         assert!(!kp.public_key().verify(&msg, &sig));
+    }
+
+    #[test]
+    fn short_chain_values_rejected_without_panic() {
+        let mut kp = keypair();
+        let msg = sha256(b"m");
+        let mut sig = kp.sign(&msg).unwrap();
+        sig.chain_values.truncate(1);
+        let decoded = crate::codec::decode_all::<Signature>(&sig.encoded()).unwrap();
+        assert!(!kp.public_key().verify(&msg, &decoded));
+    }
+
+    #[test]
+    fn extra_chain_values_rejected() {
+        // A trailing chain value would be a second, malleable encoding of a
+        // valid signature (and a different transaction id).
+        let mut kp = keypair();
+        let msg = sha256(b"m");
+        let mut sig = kp.sign(&msg).unwrap();
+        sig.chain_values.push(sha256(b"extra"));
+        assert!(!kp.public_key().verify(&msg, &sig));
+    }
+
+    #[test]
+    fn known_answer_root_and_signature() {
+        // Frozen outputs of the scalar one-hash-at-a-time implementation: a
+        // chain kernel wrong in the same way for sign and verify still
+        // round-trips, but cannot reproduce these.
+        let kp = KeyPair::generate([7u8; 32], 3);
+        assert_eq!(
+            kp.public_key().root().to_string(),
+            "c4f2d88179038503e83c3489d56be368ca306c84fb40e20dcb4cc3fbb359ab59"
+        );
+        let sig = kp.sign_with_index(&sha256(b"known answer"), 5).unwrap();
+        assert_eq!(
+            sha256(&sig.encoded()).to_string(),
+            "c2d2a9d1b890c87426aac5cfbc67527a800fc788099af0d2e70fde5941895d59"
+        );
+    }
+
+    #[test]
+    fn chain_kernel_matches_scalar_chain() {
+        for count in [0usize, 1, 7, 8, 9, 67, 80] {
+            let starts: Vec<Hash256> = (0..count).map(|i| sha256(&[i as u8, 0x5c])).collect();
+            // Every length 0..=15, in an order that is not lane-periodic.
+            let steps: Vec<u8> = (0..count).map(|i| ((i * 7 + 3) % 16) as u8).collect();
+            let mut got = starts.clone();
+            hash_chains(CHAIN_PREFIX, &mut got, &steps);
+            for (i, (start, step)) in starts.iter().zip(&steps).enumerate() {
+                assert_eq!(
+                    got[i],
+                    chain(*start, u32::from(*step)),
+                    "count={count} chain={i}"
+                );
+            }
+        }
     }
 
     #[test]

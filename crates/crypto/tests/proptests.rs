@@ -3,8 +3,13 @@
 //! signature correctness over arbitrary inputs.
 
 use dcs_crypto::codec::{decode_all, Encode};
-use dcs_crypto::{sha256, Hash256, KeyPair, MerkleProof, MerkleTree, Sha256};
+use dcs_crypto::{sha256, Hash256, KeyPair, MerkleProof, MerkleTree, PublicKey, Sha256, Signature};
 use proptest::prelude::*;
+
+/// A height-2 public key that garbage signatures are verified against.
+fn fixed_key() -> PublicKey {
+    decode_all::<PublicKey>(&(sha256(b"fixed key"), 2u8).encoded()).expect("root and height")
+}
 
 proptest! {
     #[test]
@@ -46,6 +51,31 @@ proptest! {
         let _ = decode_all::<Hash256>(&bytes);
         let _ = decode_all::<MerkleProof>(&bytes);
         let _ = decode_all::<(u64, Option<bool>)>(&bytes);
+        // A signature decoded from untrusted bytes is verified, not trusted:
+        // whatever shape it decodes to, `verify` must return.
+        if let Ok(sig) = decode_all::<Signature>(&bytes) {
+            let _ = fixed_key().verify(&sha256(&bytes), &sig);
+        }
+    }
+
+    #[test]
+    fn verify_rejects_malformed_signatures(
+        index in 0u32..8,
+        chains in 0usize..80,
+        auth in 0usize..4,
+        fill in any::<u8>(),
+    ) {
+        // Garbage rarely decodes as a signature; build well-framed ones of
+        // every chain count and path length. None is valid for the key.
+        let mut bytes = Vec::new();
+        index.encode(&mut bytes);
+        let hashes = |n: usize, tag: u8| -> Vec<Hash256> {
+            (0..n).map(|i| sha256(&[fill, tag, i as u8])).collect()
+        };
+        hashes(chains, 0).encode(&mut bytes);
+        hashes(auth, 1).encode(&mut bytes);
+        let sig = decode_all::<Signature>(&bytes).expect("well-framed");
+        prop_assert!(!fixed_key().verify(&sha256(&[fill]), &sig));
     }
 
     #[test]
@@ -102,7 +132,7 @@ proptest! {
     fn verify_batch_equals_serial_loop(
         spec in proptest::collection::vec((0u8..2, any::<u8>(), 0u8..3), 0..8)
     ) {
-        use dcs_crypto::{Signature, VerifyPipeline, VerifyPool};
+        use dcs_crypto::{VerifyPipeline, VerifyPool};
 
         let mut kps = [KeyPair::generate([0xA1; 32], 3), KeyPair::generate([0xB2; 32], 3)];
         let items: Vec<(dcs_crypto::PublicKey, Hash256, Signature)> = spec
