@@ -146,6 +146,48 @@ fn bench_account_apply(c: &mut Criterion) {
             );
         }
     }
+    // The shape `pow_overload` applies on every peer: a coinbase plus 26
+    // default-gas transfers, each from its own sender, on a 6,500-account
+    // state; once as an apply, once as apply + revert (a reorg's cost).
+    const ACCOUNTS: u64 = 6_500;
+    const TRANSFERS: u64 = 26;
+    let account = |i: u64| Address::from_index(1_000_000 + i);
+    let alloc: Vec<(Address, u64)> = (0..ACCOUNTS).map(|i| (account(i), 1_000_000)).collect();
+    let base = AccountMachine::with_alloc(&alloc).db;
+    let body: Vec<Transaction> = std::iter::once(Transaction::Coinbase {
+        to: Address::from_index(7),
+        value: 50,
+        height: 1,
+    })
+    .chain((0..TRANSFERS).map(|i| {
+        let (from, to) = (account(i * 211), account((i * 97 + 3_001) % ACCOUNTS));
+        Transaction::Account(AccountTx::transfer(from, to, 1 + i, 0))
+    }))
+    .collect();
+    let header = BlockHeader::new(Hash256::ZERO, 1, 1, Address::from_index(7), Seal::None);
+    let block = Block::new(header, body);
+    group.throughput(Throughput::Elements(TRANSFERS));
+    for (label, revert) in [("apply", false), ("apply_revert", true)] {
+        group.bench_with_input(BenchmarkId::new(label, TRANSFERS), &block, |b, block| {
+            b.iter_batched(
+                || {
+                    let mut m = AccountMachine::new();
+                    m.db = base.clone();
+                    m
+                },
+                |mut m| {
+                    use dcs_chain::StateMachine;
+                    let (receipts, undo) = m.apply_block(block).expect("valid block");
+                    if revert {
+                        m.revert_block(undo);
+                    }
+                    black_box(m.state_root());
+                    (receipts, m)
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
     group.finish();
 }
 

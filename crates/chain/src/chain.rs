@@ -51,9 +51,10 @@ impl StateMachine for NullMachine {
     fn apply_block(&mut self, block: &Block) -> Result<(Vec<Receipt>, ()), String> {
         Ok((
             block
-                .txs
+                .tx_ids()
                 .iter()
-                .map(|tx| Receipt::success(tx.id()))
+                .copied()
+                .map(Receipt::success)
                 .collect(),
             (),
         ))

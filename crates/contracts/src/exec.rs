@@ -43,17 +43,17 @@ pub fn execute_tx(
     if tx.gas_limit < intrinsic {
         return Receipt::failed(tx_id, "gas limit below intrinsic cost");
     }
-    let expected_nonce = db.nonce(&tx.from);
-    if tx.nonce != expected_nonce {
+    let sender = db.load_account(&tx.from);
+    if tx.nonce != sender.nonce {
         return Receipt::failed(
             tx_id,
-            format!("bad nonce: expected {expected_nonce}, got {}", tx.nonce),
+            format!("bad nonce: expected {}, got {}", sender.nonce, tx.nonce),
         );
     }
     let upfront = tx
         .value
         .saturating_add(tx.gas_limit.saturating_mul(tx.gas_price));
-    if db.balance(&tx.from) < upfront {
+    if sender.balance < upfront {
         return Receipt::failed(tx_id, "insufficient balance for value + gas");
     }
 

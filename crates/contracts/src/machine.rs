@@ -34,12 +34,15 @@ impl AccountMachine {
         AccountMachine::default()
     }
 
-    /// A machine with pre-funded genesis accounts.
+    /// A machine with pre-funded genesis accounts (an address listed twice
+    /// is credited twice), merged into the trie in one batch.
     pub fn with_alloc(alloc: &[(Address, Amount)]) -> Self {
         let mut m = AccountMachine::new();
+        m.db.begin_batch();
         for (addr, amount) in alloc {
             m.db.credit(addr, *amount);
         }
+        m.db.commit_batch();
         m.db.clear_journal();
         m
     }
@@ -81,6 +84,15 @@ impl StateMachine for AccountMachine {
             // once per write. Roots, receipts, and errors are bit-identical
             // to the serial path.
             self.db.begin_batch();
+            // Every sender and recipient is known up front: load their
+            // records in one batched trie lookup.
+            let parties = block.txs.iter().flat_map(|tx| match tx {
+                Transaction::Coinbase { to, .. } => [Some(to), None],
+                Transaction::Account(acct) => [Some(&acct.from), acct.to.as_ref()],
+                Transaction::Utxo(_) => [None, None],
+            });
+            let proposer = std::iter::once(&block.header.proposer);
+            self.db.preload_accounts(parties.flatten().chain(proposer));
         }
         let ctx = BlockCtx {
             proposer: block.header.proposer,

@@ -173,3 +173,135 @@ proptest! {
         }
     }
 }
+
+/// Sweeps the contract's whole balance to the caller: the first call in a
+/// block prunes a funded sweeper's account record (balance and nonce 0).
+const SWEEPER: &str = "caller\naddress\nbalance\ntransfer\nstop";
+
+/// The premise of `account_revert_restores_pre_block_state`: a sweeper call
+/// removes the contract's account record, and the revert brings it back.
+#[test]
+fn sweeper_call_prunes_the_contract_account() {
+    let sweeper = Address::from_index(500);
+    let caller = Address::from_index(1);
+    let mut m = AccountMachine::with_alloc(&[(caller, 1_000)]);
+    m.schedule = GasSchedule::free();
+    m.db.set_code(
+        &sweeper,
+        dcs_contracts::assemble(SWEEPER).expect("assembles"),
+    );
+    m.db.credit(&sweeper, 300);
+    m.db.clear_journal();
+    let root_before = m.state_root();
+
+    let mut tx = AccountTx::call(caller, sweeper, Vec::new(), 20, 0, 0);
+    tx.gas_price = 0;
+    let block = account_block(vec![Transaction::Account(tx)]);
+    let (receipts, undo) = m.apply_block(&block).expect("block applies");
+    assert!(
+        receipts.iter().all(|r| r.status.is_success()),
+        "{receipts:?}"
+    );
+    assert!(m.db.prove_account(&sweeper).is_none(), "record pruned");
+    assert_eq!(m.db.balance(&caller), 1_300);
+
+    m.revert_block(undo);
+    assert_eq!(m.state_root(), root_before);
+    assert_eq!(m.db.balance(&sweeper), 300);
+}
+
+proptest! {
+    /// `revert_block` after a batched `apply_block` restores the exact
+    /// pre-block state: root, balances, nonces and code. Blocks mix
+    /// transfers between funded accounts, transfers that create fresh
+    /// accounts (as does the coinbase), calls that prune funded sweeper
+    /// contracts to zero, and failing transactions (stale nonces,
+    /// overdrafts), with keys touched repeatedly.
+    #[test]
+    fn account_revert_restores_pre_block_state(
+        ops in proptest::collection::vec(
+            (0u8..3, 0u64..ACCOUNTS, 0u64..12, 0u64..700, 0u64..3),
+            0..40,
+        ),
+    ) {
+        let sweepers = [Address::from_index(500), Address::from_index(501)];
+        let code = dcs_contracts::assemble(SWEEPER).expect("sweeper assembles");
+        let alloc: Vec<(Address, u64)> =
+            (0..ACCOUNTS).map(|i| (Address::from_index(i), 1_000)).collect();
+        let mut m = AccountMachine::with_alloc(&alloc);
+        m.schedule = GasSchedule::free();
+        for s in &sweepers {
+            m.db.set_code(s, code.clone());
+            m.db.credit(s, 300);
+        }
+        m.db.clear_journal();
+
+        let mut next_nonce = vec![0u64; ACCOUNTS as usize];
+        let txs: Vec<Transaction> = ops
+            .iter()
+            .map(|(kind, from, to, amount, nonce_skew)| {
+                let nonce = next_nonce[*from as usize] + nonce_skew.saturating_sub(1);
+                if nonce == next_nonce[*from as usize] {
+                    next_nonce[*from as usize] += 1;
+                }
+                let from = Address::from_index(*from);
+                let mut tx = if *kind == 2 {
+                    let sweeper = sweepers[(*to % 2) as usize];
+                    AccountTx::call(from, sweeper, Vec::new(), *amount, nonce, 0)
+                } else {
+                    // Indices at or past ACCOUNTS are fresh accounts.
+                    AccountTx::transfer(from, Address::from_index(*to), *amount, nonce)
+                };
+                tx.gas_limit = 0;
+                tx.gas_price = 0;
+                Transaction::Account(tx)
+            })
+            .collect();
+        let block = account_block(txs);
+
+        let watched: Vec<Address> = (0..12u64)
+            .map(Address::from_index)
+            .chain(sweepers)
+            .chain([Address::from_index(999)])
+            .collect();
+        let snapshot = |m: &AccountMachine| -> Vec<(u64, u64, Option<Vec<u8>>)> {
+            watched
+                .iter()
+                .map(|a| (m.db.balance(a), m.db.nonce(a), m.db.code(a).map(<[u8]>::to_vec)))
+                .collect()
+        };
+        let root_before = m.state_root();
+        let state_before = snapshot(&m);
+
+        let (_, undo) = m.apply_block(&block).expect("unsigned account block applies");
+        m.revert_block(undo);
+
+        prop_assert_eq!(m.state_root(), root_before);
+        prop_assert_eq!(snapshot(&m), state_before);
+    }
+
+    /// `AccountMachine::with_alloc` merges the allocation in one batch; it
+    /// must equal crediting each entry serially, including addresses listed
+    /// more than once, zero amounts, and credits that saturate.
+    #[test]
+    fn batched_alloc_matches_serial_credits(
+        alloc in proptest::collection::vec(
+            (0u64..40, prop_oneof![0u64..1_000, Just(u64::MAX / 2), Just(u64::MAX)]),
+            0..120,
+        ),
+    ) {
+        let alloc: Vec<(Address, u64)> =
+            alloc.iter().map(|(i, v)| (Address::from_index(*i), *v)).collect();
+        let batched = AccountMachine::with_alloc(&alloc);
+        let mut serial = dcs_state::AccountDb::new();
+        for (addr, amount) in &alloc {
+            serial.credit(addr, *amount);
+        }
+        prop_assert_eq!(batched.state_root(), serial.root());
+        prop_assert_eq!(batched.db.entry_count(), serial.entry_count());
+        for i in 0..40u64 {
+            let addr = Address::from_index(i);
+            prop_assert_eq!(batched.db.balance(&addr), serial.balance(&addr));
+        }
+    }
+}

@@ -432,6 +432,58 @@ pub(crate) fn hash_chains(prefix: u8, values: &mut [Hash256], steps: &[u8]) {
     }
 }
 
+/// Bit length of one pair message: a domain byte plus two digests.
+const PAIR_MSG_BITS: u32 = 65 * 8;
+
+/// Hashes each adjacent pair of `level` as `sha256(prefix ‖ left ‖ right)`
+/// into `out`, `L` pairs per wide compression.
+///
+/// A pair message is 65 bytes, exactly two padded blocks, built directly as
+/// message words: the first block is `prefix ‖ left ‖ right[..31]`, i.e. the
+/// sixteen digest words shifted right by the prefix byte; the second is the
+/// last byte of `right`, `0x80`, zeros and the fixed length. Lanes past the
+/// last pair of a partial final group hash zeros and are not read back.
+/// Every digest is bit-identical to the scalar [`Sha256`].
+// Lane loops stay plain counted `for`s over `0..L` so they auto-vectorize.
+#[allow(clippy::needless_range_loop)]
+fn hash_pairs<const L: usize>(prefix: u8, level: &[Hash256], out: &mut [Hash256]) {
+    let head = u32::from(prefix) << 24;
+    let mut tail = [[0u32; L]; 16];
+    tail[15] = [PAIR_MSG_BITS; L];
+    for (group, digests) in level.chunks(2 * L).zip(out.chunks_mut(L)) {
+        // Digest words, transposed: left in 0..8, right in 8..16.
+        let mut x = [[0u32; L]; 16];
+        for (l, pair) in group.chunks_exact(2).enumerate() {
+            let words = pair[0].as_bytes().chunks_exact(4);
+            let words = words.chain(pair[1].as_bytes().chunks_exact(4));
+            for (word, b) in x.iter_mut().zip(words) {
+                word[l] = u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
+            }
+        }
+        let mut msg = [[0u32; L]; 16];
+        for l in 0..L {
+            msg[0][l] = head | (x[0][l] >> 8);
+        }
+        for i in 1..16 {
+            for l in 0..L {
+                msg[i][l] = (x[i - 1][l] << 24) | (x[i][l] >> 8);
+            }
+        }
+        for l in 0..L {
+            tail[0][l] = (x[15][l] << 24) | 0x0080_0000;
+        }
+        let mut states = [[0u32; L]; 8];
+        for (word, h0) in states.iter_mut().zip(H0) {
+            *word = [h0; L];
+        }
+        compress_wide_words(&mut states, &msg);
+        compress_wide_words(&mut states, &tail);
+        for (l, digest) in digests.iter_mut().enumerate() {
+            *digest = lane_digest(&states, l);
+        }
+    }
+}
+
 /// Batch SHA-256 over many independent messages using interleaved 4- or
 /// 8-lane compression.
 ///
@@ -515,14 +567,20 @@ impl MultiHasher {
         let pairs = level.len() / 2;
         let base = out.len();
         out.resize(base + pairs, Hash256::ZERO);
-        let mut msgs: Vec<[u8; 65]> = vec![[0u8; 65]; pairs];
-        for (pair, msg) in level.chunks_exact(2).zip(msgs.iter_mut()) {
-            msg[0] = prefix;
-            msg[1..33].copy_from_slice(pair[0].as_ref());
-            msg[33..65].copy_from_slice(pair[1].as_ref());
+        let out = &mut out[base..];
+        if self.lanes >= 8 && pairs >= 8 {
+            hash_pairs::<8>(prefix, level, out);
+        } else if self.lanes >= 4 && pairs >= 4 {
+            hash_pairs::<4>(prefix, level, out);
+        } else {
+            for (pair, slot) in level.chunks_exact(2).zip(out) {
+                let mut ctx = Sha256::new();
+                ctx.update(&[prefix]);
+                ctx.update(pair[0].as_ref());
+                ctx.update(pair[1].as_ref());
+                *slot = ctx.finalize();
+            }
         }
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        self.hash_many_into(&refs, &mut out[base..]);
     }
 }
 
@@ -655,16 +713,23 @@ mod tests {
 
     #[test]
     fn multihasher_pairs_match_pairwise_concat() {
-        for pairs in [1usize, 2, 3, 4, 7, 8, 9, 50] {
+        // Pair counts straddling both kernel widths, full and partial final
+        // groups, appended after existing output, and two domain bytes.
+        for pairs in [1usize, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 50] {
             let level: Vec<Hash256> = (0..pairs * 2).map(|i| sha256(&msg(40, i as u8))).collect();
-            let mut got = Vec::new();
-            MultiHasher::wide().hash_pairs_into(0x01, &level, &mut got);
-            assert_eq!(got.len(), pairs);
-            for (pair, d) in level.chunks_exact(2).zip(&got) {
-                let mut joined = vec![0x01u8];
-                joined.extend_from_slice(pair[0].as_ref());
-                joined.extend_from_slice(pair[1].as_ref());
-                assert_eq!(*d, sha256(&joined), "pairs={pairs}");
+            for lanes in [1, 4, 8] {
+                for prefix in [0x01u8, 0x11] {
+                    let mut got = vec![Hash256::ZERO];
+                    MultiHasher::new(lanes).hash_pairs_into(prefix, &level, &mut got);
+                    assert_eq!(got.len(), pairs + 1);
+                    assert_eq!(got[0], Hash256::ZERO, "existing output kept");
+                    for (pair, d) in level.chunks_exact(2).zip(&got[1..]) {
+                        let mut joined = vec![prefix];
+                        joined.extend_from_slice(pair[0].as_ref());
+                        joined.extend_from_slice(pair[1].as_ref());
+                        assert_eq!(*d, sha256(&joined), "pairs={pairs} lanes={lanes}");
+                    }
+                }
             }
         }
     }

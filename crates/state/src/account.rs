@@ -60,6 +60,13 @@ fn code_key(addr: &Address) -> Vec<u8> {
     k
 }
 
+/// Decodes a stored account record (zero balance/nonce if absent).
+fn decode_account(bytes: Option<&[u8]>) -> Account {
+    bytes
+        .and_then(|bytes| decode_all::<Account>(bytes).ok())
+        .unwrap_or_default()
+}
+
 /// A block-level undo record extracted from the journal.
 #[derive(Debug, Clone, Default)]
 pub struct AccountUndo {
@@ -86,12 +93,32 @@ pub struct AccountUndo {
 pub struct AccountDb {
     map: MerkleMap,
     journal: Vec<(Vec<u8>, Option<Vec<u8>>)>,
-    /// Batched-application overlay (`Some` while a batch is open): pending
-    /// writes staged here are merged into the trie in one
+    /// Batched-application overlay (`Some` while a batch is open): every
+    /// key the batch has loaded or written, with its trie value and its
+    /// staged value. Changed keys are merged into the trie in one
     /// [`MerkleMap::write_batch`] pass at [`AccountDb::commit_batch`] time.
     /// Reads always consult the overlay first, so execution sees exactly the
     /// state the serial path would.
-    overlay: Option<BTreeMap<Vec<u8>, Option<Vec<u8>>>>,
+    overlay: Option<BTreeMap<Vec<u8>, Staged>>,
+}
+
+/// One key of an open write batch.
+#[derive(Debug, Clone)]
+struct Staged {
+    /// The trie's value when the batch first loaded the key.
+    base: Option<Vec<u8>>,
+    /// The value execution sees now.
+    value: Option<Vec<u8>>,
+}
+
+impl Staged {
+    /// A key just loaded from the trie, not yet written.
+    fn loaded(base: Option<Vec<u8>>) -> Self {
+        Staged {
+            value: base.clone(),
+            base,
+        }
+    }
 }
 
 impl AccountDb {
@@ -131,7 +158,15 @@ impl AccountDb {
     /// mutations serially. No-op when no batch is open.
     pub fn commit_batch(&mut self) {
         if let Some(overlay) = self.overlay.take() {
-            self.map.write_batch(overlay.into_iter().collect());
+            // Keys that were only read, or whose writes a rollback undid,
+            // are left out: rewriting a value leaves the root unchanged.
+            self.map.write_batch(
+                overlay
+                    .into_iter()
+                    .filter(|(_, s)| s.value != s.base)
+                    .map(|(key, s)| (key, s.value))
+                    .collect(),
+            );
         }
     }
 
@@ -151,20 +186,33 @@ impl AccountDb {
     fn raw_get(&self, key: &[u8]) -> Option<&[u8]> {
         if let Some(overlay) = &self.overlay {
             if let Some(staged) = overlay.get(key) {
-                return staged.as_deref();
+                return staged.value.as_deref();
             }
         }
         self.map.get(key)
     }
 
+    /// The overlay slot for `key`, loading the trie's value on first touch
+    /// so the batch reads each key from the trie at most once.
+    fn staged<'a>(
+        map: &MerkleMap,
+        overlay: &'a mut BTreeMap<Vec<u8>, Staged>,
+        key: &[u8],
+    ) -> &'a mut Staged {
+        if !overlay.contains_key(key) {
+            let base = map.get(key).map(<[u8]>::to_vec);
+            overlay.insert(key.to_vec(), Staged::loaded(base));
+        }
+        overlay.get_mut(key).expect("inserted above")
+    }
+
     fn raw_set(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
         let old = match &mut self.overlay {
-            Some(overlay) => match overlay.insert(key.clone(), value) {
-                // The overlay-visible previous value: an earlier staged
-                // write, or (first touch in this batch) the trie's value.
-                Some(staged) => staged,
-                None => self.map.get(&key).map(<[u8]>::to_vec),
-            },
+            // The overlay-visible previous value: an earlier staged write,
+            // or (first touch in this batch) the trie's value.
+            Some(overlay) => {
+                std::mem::replace(&mut Self::staged(&self.map, overlay, &key).value, value)
+            }
             None => match &value {
                 Some(v) => self.map.insert(key.clone(), v.clone()),
                 None => self.map.remove(&key),
@@ -175,9 +223,47 @@ impl AccountDb {
 
     /// Reads an account record (zero balance/nonce if absent).
     pub fn account(&self, addr: &Address) -> Account {
-        self.raw_get(&account_key(addr))
-            .and_then(|bytes| decode_all::<Account>(bytes).ok())
-            .unwrap_or_default()
+        decode_account(self.raw_get(&account_key(addr)))
+    }
+
+    /// Loads the records of `addrs` into the open write batch with one
+    /// [`MerkleMap::get_many`] lookup, so the batch's later reads and writes
+    /// of these accounts never walk the trie. A block's senders and
+    /// recipients are known before it executes; loading them together
+    /// overlaps the walks. No-op outside a batch.
+    pub fn preload_accounts<'a>(&mut self, addrs: impl IntoIterator<Item = &'a Address>) {
+        let Some(overlay) = &mut self.overlay else {
+            return;
+        };
+        let mut addrs: Vec<&Address> = addrs.into_iter().collect();
+        addrs.sort_unstable();
+        addrs.dedup();
+        let keys: Vec<Vec<u8>> = addrs
+            .into_iter()
+            .map(account_key)
+            .filter(|k| !overlay.contains_key(k))
+            .collect();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let values: Vec<Option<Vec<u8>>> = self
+            .map
+            .get_many(&refs)
+            .into_iter()
+            .map(|v| v.map(<[u8]>::to_vec))
+            .collect();
+        for (key, base) in keys.into_iter().zip(values) {
+            overlay.insert(key, Staged::loaded(base));
+        }
+    }
+
+    /// Reads an account record like [`AccountDb::account`]. Inside a write
+    /// batch the record is loaded into the overlay, so later reads and
+    /// writes of the same account in the batch do not walk the trie again.
+    pub fn load_account(&mut self, addr: &Address) -> Account {
+        let key = account_key(addr);
+        decode_account(match &mut self.overlay {
+            Some(overlay) => Self::staged(&self.map, overlay, &key).value.as_deref(),
+            None => self.map.get(&key),
+        })
     }
 
     /// The account's balance.
@@ -200,7 +286,7 @@ impl AccountDb {
 
     /// Adds `value` to the account's balance.
     pub fn credit(&mut self, addr: &Address, value: Amount) {
-        let mut acct = self.account(addr);
+        let mut acct = self.load_account(addr);
         acct.balance = acct.balance.saturating_add(value);
         self.put_account(addr, acct);
     }
@@ -212,7 +298,7 @@ impl AccountDb {
     /// [`StateError::InsufficientBalance`] if the balance is too small; the
     /// state is unchanged.
     pub fn debit(&mut self, addr: &Address, value: Amount) -> Result<(), StateError> {
-        let mut acct = self.account(addr);
+        let mut acct = self.load_account(addr);
         if acct.balance < value {
             return Err(StateError::InsufficientBalance {
                 have: u128::from(acct.balance),
@@ -242,7 +328,7 @@ impl AccountDb {
 
     /// Increments the account nonce, returning the pre-increment value.
     pub fn bump_nonce(&mut self, addr: &Address) -> u64 {
-        let mut acct = self.account(addr);
+        let mut acct = self.load_account(addr);
         let old = acct.nonce;
         acct.nonce += 1;
         self.put_account(addr, acct);
@@ -281,10 +367,9 @@ impl AccountDb {
             let (key, old) = self.journal.pop().expect("journal longer than snapshot");
             if let Some(overlay) = &mut self.overlay {
                 // Inside a batch the journal records overlay-visible old
-                // values, so restoring is a staged write. Re-staging a value
-                // equal to the trie's own is harmless: the commit-time merge
-                // is content-addressed, so the root is unchanged by it.
-                overlay.insert(key, old);
+                // values, so restoring is a staged write; a key restored to
+                // its trie value drops out of the commit-time merge.
+                Self::staged(&self.map, overlay, &key).value = old;
                 continue;
             }
             match old {
@@ -306,18 +391,13 @@ impl AccountDb {
         }
     }
 
-    /// Applies a block-level undo record, reversing an applied block.
+    /// Applies a block-level undo record, reversing an applied block, in one
+    /// [`MerkleMap::write_batch`] pass. The journal is fed in reverse, so for
+    /// a key written several times the last write of the batch — the
+    /// journal's oldest entry — wins and restores the pre-block value.
     pub fn apply_undo(&mut self, undo: AccountUndo) {
-        for (key, old) in undo.entries.into_iter().rev() {
-            match old {
-                Some(v) => {
-                    self.map.insert(key, v);
-                }
-                None => {
-                    self.map.remove(&key);
-                }
-            }
-        }
+        self.map
+            .write_batch(undo.entries.into_iter().rev().collect());
     }
 
     /// Drops journal history (e.g. after finality): saves memory, forfeits
@@ -524,6 +604,23 @@ mod tests {
         db.abort_batch();
         assert_eq!(db.root(), before);
         assert!(!db.is_batching());
+    }
+
+    #[test]
+    fn preloaded_batch_matches_serial_root() {
+        let mut serial = seeded(10);
+        let mut batched = seeded(10);
+        batched.begin_batch();
+        // Present, absent and repeated accounts.
+        batched.preload_accounts(&[addr(1), addr(2), addr(42), addr(1)]);
+        assert_eq!(batched.balance(&addr(2)), 300);
+        for db in [&mut serial, &mut batched] {
+            db.transfer(&addr(1), &addr(42), 30).unwrap();
+            db.bump_nonce(&addr(1));
+        }
+        batched.commit_batch();
+        assert_eq!(batched.root(), serial.root());
+        assert_eq!(batched.entry_count(), serial.entry_count());
     }
 
     #[test]

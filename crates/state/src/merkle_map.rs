@@ -12,9 +12,14 @@ use dcs_crypto::codec::{Decode, DecodeError, Encode, Reader};
 use dcs_crypto::{sha256, Hash256, MultiHasher, Sha256};
 use serde::{Deserialize, Serialize};
 
+/// Domain byte of a leaf hash, `sha256(0x10 ‖ key hash ‖ sha256(value))`.
+const LEAF_TAG: u8 = 0x10;
+/// Domain byte of a branch hash, `sha256(0x11 ‖ left ‖ right)`.
+const BRANCH_TAG: u8 = 0x11;
+
 fn leaf_hash(key_hash: &Hash256, value: &[u8]) -> Hash256 {
     let mut ctx = Sha256::new();
-    ctx.update(&[0x10]);
+    ctx.update(&[LEAF_TAG]);
     ctx.update(key_hash.as_ref());
     ctx.update(sha256(value).as_ref());
     ctx.finalize()
@@ -22,7 +27,7 @@ fn leaf_hash(key_hash: &Hash256, value: &[u8]) -> Hash256 {
 
 fn branch_hash(left: &Hash256, right: &Hash256) -> Hash256 {
     let mut ctx = Sha256::new();
-    ctx.update(&[0x11]);
+    ctx.update(&[BRANCH_TAG]);
     ctx.update(left.as_ref());
     ctx.update(right.as_ref());
     ctx.finalize()
@@ -55,6 +60,96 @@ struct BatchEntry {
     key: Vec<u8>,
     /// `Some` = insert/replace, `None` = remove.
     value: Option<Vec<u8>>,
+    /// The leaf hash of `(kh, value)`, computed up front on lanes
+    /// ([`Hash256::ZERO`] for a removal).
+    hash: Hash256,
+}
+
+/// A child's hash as its stale parent sees it during a batch merge: already
+/// known, or the output of an earlier entry of the [`Rehash`] plan.
+#[derive(Debug, Clone, Copy)]
+enum ChildHash {
+    Known(Hash256),
+    Stale(usize),
+}
+
+/// A branch whose hash the structural merge left stale.
+#[derive(Debug)]
+struct StaleBranch {
+    left: ChildHash,
+    right: ChildHash,
+    /// 0 when both children are known, else one more than the round of
+    /// the later stale child: every branch of round `r` depends only on
+    /// rounds below `r`.
+    round: usize,
+}
+
+/// The branches a batch merge left stale, in post-order (every branch after
+/// the stale branches below it).
+#[derive(Debug, Default)]
+struct Rehash {
+    stale: Vec<StaleBranch>,
+}
+
+impl Rehash {
+    /// Records a branch over `left` and `right` as stale.
+    fn push(&mut self, left: ChildHash, right: ChildHash) -> ChildHash {
+        let round = [left, right]
+            .into_iter()
+            .filter_map(|c| match c {
+                ChildHash::Stale(i) => Some(self.stale[i].round + 1),
+                ChildHash::Known(_) => None,
+            })
+            .max()
+            .unwrap_or(0);
+        self.stale.push(StaleBranch { left, right, round });
+        ChildHash::Stale(self.stale.len() - 1)
+    }
+
+    /// Computes every stale branch hash, one round at a time and eight
+    /// `0x11 ‖ left ‖ right` messages per wide compression. Rounds are
+    /// dependency levels counted from the bottom, so every stale branch just
+    /// above the leaves lands in round 0 whatever its depth, and lanes stay
+    /// full wherever the batch touched at least eight branches at once.
+    fn hashes(&self) -> Vec<Hash256> {
+        let mut out = vec![Hash256::ZERO; self.stale.len()];
+        let mut order: Vec<usize> = (0..self.stale.len()).collect();
+        order.sort_by_key(|&i| self.stale[i].round);
+        let hasher = MultiHasher::wide();
+        let mut pairs = Vec::new();
+        let mut digests = Vec::new();
+        for round in order.chunk_by(|&a, &b| self.stale[a].round == self.stale[b].round) {
+            pairs.clear();
+            for &i in round {
+                for child in [self.stale[i].left, self.stale[i].right] {
+                    pairs.push(match child {
+                        ChildHash::Known(h) => h,
+                        ChildHash::Stale(j) => out[j],
+                    });
+                }
+            }
+            digests.clear();
+            hasher.hash_pairs_into(BRANCH_TAG, &pairs, &mut digests);
+            for (&i, digest) in round.iter().zip(&digests) {
+                out[i] = *digest;
+            }
+        }
+        out
+    }
+
+    /// Writes `hashes` back into the stale branch `node` (plan entry `i`)
+    /// and every stale branch below it.
+    fn fill(&self, node: &mut Node, i: usize, hashes: &[Hash256]) {
+        if let Node::Branch { left, right, hash } = node {
+            *hash = hashes[i];
+            for (child, link) in [(left, self.stale[i].left), (right, self.stale[i].right)] {
+                if let ChildHash::Stale(j) = link {
+                    let child = child.as_deref_mut().expect("a stale child is a branch");
+                    self.fill(child, j, hashes);
+                }
+            }
+        }
+    }
 }
 
 impl Node {
@@ -118,8 +213,8 @@ impl MerkleMap {
 
     /// Looks up the value stored under `key`.
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        let kh = sha256(key);
         let mut node = self.root.as_deref()?;
+        let kh = sha256(key);
         let mut depth = 0;
         loop {
             match node {
@@ -135,6 +230,45 @@ impl MerkleMap {
                 }
             }
         }
+    }
+
+    /// Looks up every key in `keys`, returning the values in input order.
+    /// Equivalent to [`MerkleMap::get`] per key, but the key hashes are
+    /// computed eight per wide compression and all lookups descend the trie
+    /// together, one level per pass, so their cache misses overlap instead
+    /// of queueing one walk behind another.
+    pub fn get_many(&self, keys: &[&[u8]]) -> Vec<Option<&[u8]>> {
+        let mut out = vec![None; keys.len()];
+        let Some(root) = self.root.as_deref() else {
+            return out;
+        };
+        let hashes = MultiHasher::wide().hash_many(keys);
+        let mut walks: Vec<(usize, &Node)> = (0..keys.len()).map(|i| (i, root)).collect();
+        let mut depth = 0;
+        while !walks.is_empty() {
+            walks.retain_mut(|(i, node)| match node {
+                Node::Leaf {
+                    key_hash, value, ..
+                } => {
+                    if *key_hash == hashes[*i] {
+                        out[*i] = Some(value.as_slice());
+                    }
+                    false
+                }
+                Node::Branch { left, right, .. } => {
+                    let child = if bit(&hashes[*i], depth) { right } else { left };
+                    match child.as_deref() {
+                        Some(child) => {
+                            *node = child;
+                            true
+                        }
+                        None => false,
+                    }
+                }
+            });
+            depth += 1;
+        }
+        out
     }
 
     /// Inserts or replaces; returns the previous value if any.
@@ -285,53 +419,93 @@ impl MerkleMap {
     }
 
     /// Applies a whole batch of writes (`Some` = insert/replace, `None` =
-    /// remove) in one trie pass. Key hashes are multi-lane batched, entries
-    /// are sorted by routing path, and every touched branch rehashes exactly
-    /// once — against once per write on the serial path, which rehashes the
-    /// full root path each time. Later writes to the same key override
+    /// remove) in one trie pass. Later writes to the same key override
     /// earlier ones, exactly as serial application would. Because the trie
     /// is content-addressed, the resulting root is bit-identical to
     /// replaying the batch through [`MerkleMap::insert`] /
     /// [`MerkleMap::remove`] in order.
+    ///
+    /// The pass runs in three steps. Key hashes and the leaf hashes of every
+    /// written value are computed up front, eight messages per wide
+    /// compression. The structural merge then routes the sorted entries
+    /// down the trie and records every branch it touches or creates as
+    /// stale, in post-order. Finally the stale branches are rehashed in
+    /// dependency rounds, bottom first, eight per wide compression, and the
+    /// digests written back; the serial path instead rehashes the full root
+    /// path once per write. No hash is stale when the call returns.
     pub fn write_batch(&mut self, entries: Vec<(Vec<u8>, Option<Vec<u8>>)>) {
         if entries.is_empty() {
             return;
         }
+        let mut items = Self::prepare(entries);
+        let mut plan = Rehash::default();
+        let (node, delta, top) = Self::merge_at(self.root.take(), &mut items, 0, &mut plan);
+        self.root = node;
+        self.len = self.len.checked_add_signed(delta).expect("len underflow");
+        if let (ChildHash::Stale(i), Some(root)) = (top, self.root.as_deref_mut()) {
+            plan.fill(root, i, &plan.hashes());
+        }
+    }
+
+    /// Hashes the keys, sorts the entries by routing path, keeps the last
+    /// write per key, and computes the leaf hash of every surviving insert.
+    fn prepare(entries: Vec<(Vec<u8>, Option<Vec<u8>>)>) -> Vec<Option<BatchEntry>> {
+        let hasher = MultiHasher::wide();
         let key_refs: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
-        let hashes = MultiHasher::wide().hash_many(&key_refs);
+        let hashes = hasher.hash_many(&key_refs);
         let mut items: Vec<BatchEntry> = entries
             .into_iter()
             .zip(hashes)
-            .map(|((key, value), kh)| BatchEntry { kh, key, value })
+            .map(|((key, value), kh)| BatchEntry {
+                kh,
+                key,
+                value,
+                hash: Hash256::ZERO,
+            })
             .collect();
         // Byte order of the key hash IS the routing path order (MSB-first
         // bits), so one sort gives every recursion level its partition.
         // The sort is stable: later writes to the same key stay later.
         items.sort_by(|a, b| a.kh.as_ref().cmp(b.kh.as_ref()));
-        let mut deduped: Vec<Option<BatchEntry>> = Vec::with_capacity(items.len());
+        let mut deduped: Vec<BatchEntry> = Vec::with_capacity(items.len());
         for e in items {
             match deduped.last_mut() {
-                Some(last) if last.as_ref().is_some_and(|p| p.kh == e.kh) => {
-                    *last = Some(e); // last write wins
-                }
-                _ => deduped.push(Some(e)),
+                Some(last) if last.kh == e.kh => *last = e, // last write wins
+                _ => deduped.push(e),
             }
         }
-        let (node, delta) = Self::write_batch_at(self.root.take(), &mut deduped, 0);
-        self.root = node;
-        self.len = self.len.checked_add_signed(delta).expect("len underflow");
+        let values: Vec<&[u8]> = deduped.iter().filter_map(|e| e.value.as_deref()).collect();
+        let value_hashes = hasher.hash_many(&values);
+        let mut pairs = Vec::with_capacity(2 * values.len());
+        let live = deduped.iter().filter(|e| e.value.is_some());
+        for (e, vh) in live.zip(value_hashes) {
+            pairs.extend([e.kh, vh]);
+        }
+        let mut leaf_hashes = Vec::with_capacity(values.len());
+        hasher.hash_pairs_into(LEAF_TAG, &pairs, &mut leaf_hashes);
+        let mut leaf_hashes = leaf_hashes.into_iter();
+        for e in deduped.iter_mut().filter(|e| e.value.is_some()) {
+            e.hash = leaf_hashes.next().expect("one leaf hash per insert");
+        }
+        deduped.into_iter().map(Some).collect()
     }
 
-    fn write_batch_at(
+    /// The structural half of [`MerkleMap::write_batch`]: merges the sorted
+    /// entries into the subtree at `node`, recording every branch it leaves
+    /// stale in `plan`. Returns the new subtree, its change in live leaves,
+    /// and its hash as the parent will see it.
+    fn merge_at(
         node: Option<Box<Node>>,
         items: &mut [Option<BatchEntry>],
         depth: usize,
-    ) -> (Option<Box<Node>>, isize) {
+        plan: &mut Rehash,
+    ) -> (Option<Box<Node>>, isize, ChildHash) {
         if items.is_empty() {
-            return (node, 0);
+            let hash = ChildHash::Known(Node::child_hash(&node));
+            return (node, 0, hash);
         }
         match node {
-            None => Self::build_from_items(items, depth),
+            None => Self::build_from_items(items, depth, plan),
             Some(mut boxed) => match &mut *boxed {
                 Node::Leaf {
                     key_hash,
@@ -348,10 +522,10 @@ impl MerkleMap {
                         return match e.value {
                             Some(v) => {
                                 *value = v;
-                                *hash = leaf_hash(key_hash, value);
-                                (Some(boxed), 0)
+                                *hash = e.hash;
+                                (Some(boxed), 0, ChildHash::Known(e.hash))
                             }
-                            None => (None, -1),
+                            None => (None, -1, ChildHash::Known(Hash256::ZERO)),
                         };
                     }
                     // Fold the existing leaf into the (sorted) item set and
@@ -361,11 +535,12 @@ impl MerkleMap {
                             key_hash,
                             key,
                             value,
-                            ..
+                            hash,
                         } => BatchEntry {
                             kh: key_hash,
                             key,
                             value: Some(value),
+                            hash,
                         },
                         Node::Branch { .. } => unreachable!("matched leaf above"),
                     };
@@ -388,47 +563,48 @@ impl MerkleMap {
                     if let Some(l) = leaf {
                         merged.push(Some(l));
                     }
-                    let (subtree, added) = Self::build_from_items(&mut merged, depth);
+                    let (subtree, added, hash) = Self::build_from_items(&mut merged, depth, plan);
                     // Exactly one pre-existing leaf was consumed by this
                     // rebuild (folded back in or overridden), so the live
                     // count of the new subtree overstates the delta by one.
-                    (subtree, added - 1)
+                    (subtree, added - 1, hash)
                 }
                 Node::Branch { left, right, .. } => {
                     let split = items.partition_point(|e| {
                         !bit(&e.as_ref().expect("unconsumed entry").kh, depth)
                     });
                     let (l_items, r_items) = items.split_at_mut(split);
-                    let (l, dl) = Self::write_batch_at(left.take(), l_items, depth + 1);
-                    let (r, dr) = Self::write_batch_at(right.take(), r_items, depth + 1);
+                    let (l, dl, lh) = Self::merge_at(left.take(), l_items, depth + 1, plan);
+                    let (r, dr, rh) = Self::merge_at(right.take(), r_items, depth + 1, plan);
                     *left = l;
                     *right = r;
                     // Canonicalize exactly as `remove_at` does: a lone leaf
                     // rises, an empty branch vanishes, a lone branch child
                     // stays (its leaves still diverge deeper down).
                     let lone_leaf = match (&left, &right) {
-                        (None, None) => return (None, dl + dr),
+                        (None, None) => return (None, dl + dr, ChildHash::Known(Hash256::ZERO)),
                         (Some(l), None) if matches!(&**l, Node::Leaf { .. }) => left.take(),
                         (None, Some(r)) if matches!(&**r, Node::Leaf { .. }) => right.take(),
                         _ => None,
                     };
                     if let Some(leaf) = lone_leaf {
-                        return (Some(leaf), dl + dr);
+                        let hash = ChildHash::Known(leaf.hash());
+                        return (Some(leaf), dl + dr, hash);
                     }
-                    boxed.rehash();
-                    (Some(boxed), dl + dr)
+                    (Some(boxed), dl + dr, plan.push(lh, rh))
                 }
             },
         }
     }
 
     /// Builds a canonical subtree from sorted batch entries (removals of
-    /// absent keys are no-ops). Returns the subtree and the number of live
-    /// leaves created.
+    /// absent keys are no-ops), recording its branches in `plan`. Returns
+    /// the subtree, the number of live leaves created, and its hash.
     fn build_from_items(
         items: &mut [Option<BatchEntry>],
         depth: usize,
-    ) -> (Option<Box<Node>>, isize) {
+        plan: &mut Rehash,
+    ) -> (Option<Box<Node>>, isize, ChildHash) {
         let live = items
             .iter()
             .filter(|e| e.as_ref().is_some_and(|p| p.value.is_some()))
@@ -438,7 +614,7 @@ impl MerkleMap {
                 for e in items.iter_mut() {
                     e.take();
                 }
-                (None, 0)
+                (None, 0, ChildHash::Known(Hash256::ZERO))
             }
             1 => {
                 let e = items
@@ -446,31 +622,26 @@ impl MerkleMap {
                     .filter_map(|e| e.take())
                     .find(|e| e.value.is_some())
                     .expect("one live entry");
-                let value = e.value.expect("live entry has a value");
-                let hash = leaf_hash(&e.kh, &value);
-                (
-                    Some(Box::new(Node::Leaf {
-                        key_hash: e.kh,
-                        key: e.key,
-                        value,
-                        hash,
-                    })),
-                    1,
-                )
+                let leaf = Node::Leaf {
+                    key_hash: e.kh,
+                    key: e.key,
+                    value: e.value.expect("live entry has a value"),
+                    hash: e.hash,
+                };
+                (Some(Box::new(leaf)), 1, ChildHash::Known(e.hash))
             }
             _ => {
                 let split = items
                     .partition_point(|e| !bit(&e.as_ref().expect("unconsumed entry").kh, depth));
                 let (l_items, r_items) = items.split_at_mut(split);
-                let (left, dl) = Self::build_from_items(l_items, depth + 1);
-                let (right, dr) = Self::build_from_items(r_items, depth + 1);
-                let mut branch = Node::Branch {
+                let (left, dl, lh) = Self::build_from_items(l_items, depth + 1, plan);
+                let (right, dr, rh) = Self::build_from_items(r_items, depth + 1, plan);
+                let branch = Node::Branch {
                     left,
                     right,
                     hash: Hash256::ZERO,
                 };
-                branch.rehash();
-                (Some(Box::new(branch)), dl + dr)
+                (Some(Box::new(branch)), dl + dr, plan.push(lh, rh))
             }
         }
     }
@@ -807,6 +978,82 @@ mod tests {
         }
         assert_eq!(one_shot.root(), chunked.root());
         assert_eq!(one_shot.len(), chunked.len());
+    }
+
+    #[test]
+    fn rehash_rounds_cover_every_lane_fill() {
+        // A batch of the shape the scale proptest draws must rehash rounds
+        // of 1, 2-3, 4-7 and at least 8 stale branches, so that every lane
+        // fill of the pair kernel and its narrow fallbacks is exercised.
+        let mut m: MerkleMap = (0..3_000).map(kv).collect();
+        let batch: Vec<_> = (0..150u32)
+            .map(|i| {
+                let (k, v) = kv(i * 41 % 4_000);
+                (k, (i % 4 != 0).then_some(v))
+            })
+            .collect();
+        let mut items = MerkleMap::prepare(batch);
+        let mut plan = Rehash::default();
+        MerkleMap::merge_at(m.root.take(), &mut items, 0, &mut plan);
+        let rounds = plan.stale.iter().map(|b| b.round + 1).max().unwrap_or(0);
+        let mut sizes = vec![0usize; rounds];
+        for b in &plan.stale {
+            sizes[b.round] += 1;
+        }
+        for fill in [1..=1, 2..=3, 4..=7, 8..=usize::MAX] {
+            assert!(
+                sizes.iter().any(|n| fill.contains(n)),
+                "{fill:?} in {sizes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn write_batch_leaves_no_stale_hash() {
+        // Every branch hash after a batch equals its recomputation from the
+        // children, all the way down.
+        fn check(node: &Node) -> Hash256 {
+            match node {
+                Node::Leaf {
+                    key_hash,
+                    value,
+                    hash,
+                    ..
+                } => {
+                    assert_eq!(*hash, leaf_hash(key_hash, value));
+                    *hash
+                }
+                Node::Branch { left, right, hash } => {
+                    let l = left.as_deref().map_or(Hash256::ZERO, check);
+                    let r = right.as_deref().map_or(Hash256::ZERO, check);
+                    assert_eq!(*hash, branch_hash(&l, &r));
+                    *hash
+                }
+            }
+        }
+        let mut m: MerkleMap = (0..1_000).map(kv).collect();
+        m.write_batch(
+            (500..1_300)
+                .map(|i| {
+                    let (k, v) = kv(i);
+                    (k, (i % 3 != 0).then_some(v))
+                })
+                .collect(),
+        );
+        check(m.root.as_deref().expect("non-empty map"));
+    }
+
+    #[test]
+    fn get_many_matches_get() {
+        let m: MerkleMap = (0..500).map(kv).collect();
+        let keys: Vec<Vec<u8>> = (400..700).chain(0..3).map(|i| kv(i).0).collect();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let got = m.get_many(&refs);
+        assert_eq!(got.len(), keys.len());
+        for (k, v) in keys.iter().zip(&got) {
+            assert_eq!(*v, m.get(k), "{k:?}");
+        }
+        assert_eq!(MerkleMap::new().get_many(&refs), vec![None; refs.len()]);
     }
 
     #[test]

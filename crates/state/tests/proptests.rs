@@ -292,3 +292,52 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// [`merkle_map_write_batch_matches_serial`] at realistic scale: a base
+    /// of thousands of entries and batches of at least 100 mixed inserts,
+    /// updates and removals (present and absent keys, repeated keys), so
+    /// the stale-branch rehash runs rounds of 1, 2–3, 4–7 and ≥ 8 branches.
+    /// One-byte keys cap the map at 256 entries and never fill eight lanes.
+    #[test]
+    fn merkle_map_write_batch_matches_serial_at_scale(
+        base in 2_000u16..5_000,
+        batch in proptest::collection::vec(
+            (0u16..10_000, proptest::option::of(any::<u16>())),
+            100..400,
+        ),
+    ) {
+        // The base holds the even keys below 2 × `base`, so batch keys hit
+        // present and absent entries alike.
+        let mut serial = MerkleMap::new();
+        for k in 0..base {
+            serial.insert((2 * k).to_le_bytes().to_vec(), k.to_be_bytes().to_vec());
+        }
+        let mut batched = serial.clone();
+
+        for (k, v) in &batch {
+            match v {
+                Some(v) => { serial.insert(k.to_le_bytes().to_vec(), v.to_le_bytes().to_vec()); }
+                None => { serial.remove(&k.to_le_bytes()); }
+            }
+        }
+        batched.write_batch(
+            batch
+                .iter()
+                .map(|(k, v)| (k.to_le_bytes().to_vec(), v.map(|v| v.to_le_bytes().to_vec())))
+                .collect(),
+        );
+
+        prop_assert_eq!(batched.root(), serial.root());
+        prop_assert_eq!(batched.len(), serial.len());
+        for (k, _) in &batch {
+            let key = k.to_le_bytes();
+            prop_assert_eq!(batched.get(&key), serial.get(&key));
+            if let Some(proof) = batched.prove(&key) {
+                prop_assert!(proof.verify(&serial.root()));
+            }
+        }
+    }
+}
